@@ -365,13 +365,24 @@ def cache_store(spec: RunSpec, summary: RunSummary) -> None:
                 pass
 
 
+def _cache_files(base: pathlib.Path):
+    """(kind, path) for every cached file: ``result`` JSON summaries
+    and ``compiled`` kernel artifacts (``compiled/*.py``, written by
+    :func:`repro.uarch.compiled.compile_step`)."""
+    for path in base.rglob("*.json"):
+        yield "result", path
+    for path in (base / "compiled").rglob("*.py"):
+        yield "compiled", path
+
+
 def wipe_cache() -> int:
-    """Delete every cached entry; returns the number removed."""
+    """Delete every cached result and compiled kernel; returns the
+    number of files removed."""
     removed = 0
     base = cache_dir()
     if not base.exists():
         return 0
-    for path in base.rglob("*.json"):
+    for _, path in _cache_files(base):
         try:
             path.unlink()
             removed += 1
@@ -381,27 +392,31 @@ def wipe_cache() -> int:
 
 
 def cache_info() -> Dict:
-    """Entry count and total size of the on-disk cache.
+    """Entry counts and total sizes of the on-disk cache: result
+    summaries (``entries``/``bytes``) and compiled kernel artifacts
+    (``compiled``/``compiled_bytes``).
 
     Entries that vanish between the directory walk and the ``stat``
     (a concurrent ``wipe_cache`` or writer replacing its temp file)
     are skipped rather than crashing the inspection.
     """
     base = cache_dir()
-    entries = 0
-    total_bytes = 0
+    counts = {"result": 0, "compiled": 0}
+    sizes = {"result": 0, "compiled": 0}
     if base.exists():
-        for path in base.rglob("*.json"):
+        for kind, path in _cache_files(base):
             try:
-                total_bytes += path.stat().st_size
+                sizes[kind] += path.stat().st_size
             except OSError:
                 continue  # deleted mid-walk by a concurrent wipe/writer
-            entries += 1
+            counts[kind] += 1
     return {
         "dir": str(base),
         "enabled": cache_enabled(),
-        "entries": entries,
-        "bytes": total_bytes,
+        "entries": counts["result"],
+        "bytes": sizes["result"],
+        "compiled": counts["compiled"],
+        "compiled_bytes": sizes["compiled"],
     }
 
 
@@ -420,14 +435,23 @@ def run_summary(spec: RunSpec) -> RunSummary:
     recorder = get_recorder()
     if recorder is None:
         summary = cache_load(spec)
-        if summary is None:
-            summary = summarize(execute_spec(spec))
-            cache_store(spec, summary)
-        _summary_cache[spec] = summary
-        return summary
-    with recorder.span("cache.lookup"):
-        summary = cache_load(spec)
+    else:
+        with recorder.span("cache.lookup"):
+            summary = cache_load(spec)
     if summary is None:
+        return _simulate_summary(spec)
+    _summary_cache[spec] = summary
+    return summary
+
+
+def _simulate_summary(spec: RunSpec) -> RunSummary:
+    """Simulate a spec already known to miss both caches, then store
+    and memoize its summary."""
+    recorder = get_recorder()
+    if recorder is None:
+        summary = summarize(execute_spec(spec))
+        cache_store(spec, summary)
+    else:
         with recorder.span("sim", attrs=span_attrs_for_spec(spec)):
             summary = summarize(execute_spec(spec))
         with recorder.span("cache.write"):
@@ -630,12 +654,13 @@ def run_batch(
                 stats.jobs = 1
                 for index, spec in enumerate(pending):
                     spec_started = time.perf_counter()
+                    # Already looked up above: simulate directly.
                     if recorder is None:
-                        results[spec] = run_summary(spec)
+                        results[spec] = _simulate_summary(spec)
                     else:
                         with recorder.span(
                                 "spec", attrs=span_attrs_for_spec(spec)):
-                            results[spec] = run_summary(spec)
+                            results[spec] = _simulate_summary(spec)
                     if registry is not None:
                         registry.timer("executor.spec_seconds").observe(
                             time.perf_counter() - spec_started)

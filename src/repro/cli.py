@@ -962,7 +962,9 @@ def _run_diff(args) -> int:
     from .uarch.refcore import (
         DEFAULT_ENGINES,
         diff_cases,
+        FUZZ_CELL_DEFENSES,
         fixture_cases,
+        fuzz_cell_cases,
         mitigation_cases,
         parse_engines,
         run_case,
@@ -1002,32 +1004,34 @@ def _run_diff(args) -> int:
         report = thunk()
         tally(report, time.monotonic() - case_started)
 
+    def drain(iterator) -> None:
+        while True:
+            case_started = time.monotonic()
+            try:
+                _, report = next(iterator)
+            except StopIteration:
+                break
+            tally(report, time.monotonic() - case_started)
+
     for case in diff_cases(programs=args.programs, seed=args.seed,
                            defenses=tuple(args.defense)
                            if args.defense else None,
                            cores=tuple(args.core)):
         timed(lambda c=case: run_case(c, program_size=args.size,
                                       engines=engines))
+    # The fuzz cell's own programs and input pairs, where defense
+    # refusals dominate the run.
+    drain(fuzz_cell_cases(
+        programs=args.programs, engines=engines,
+        defenses=tuple(d for d in FUZZ_CELL_DEFENSES
+                       if not args.defense or d in args.defense),
+        cores=tuple(args.core)))
     if not args.no_fixtures:
-        fixture_iter = fixture_cases(engines=engines)
-        while True:
-            case_started = time.monotonic()
-            try:
-                _, report = next(fixture_iter)
-            except StopIteration:
-                break
-            tally(report, time.monotonic() - case_started)
+        drain(fixture_cases(engines=engines))
         # Mitigated binaries (all four software passes over the
         # fixtures + one generated program) must agree across engines
         # too — the passes only add architectural no-ops.
-        mitigation_iter = mitigation_cases(engines=engines, seed=args.seed)
-        while True:
-            case_started = time.monotonic()
-            try:
-                _, report = next(mitigation_iter)
-            except StopIteration:
-                break
-            tally(report, time.monotonic() - case_started)
+        drain(mitigation_cases(engines=engines, seed=args.seed))
     if args.workload:
         workload_iter = _diff_workloads(args.workload,
                                         tuple(args.defense)
@@ -1102,11 +1106,14 @@ def _run_cache(args) -> int:
 
     if args.wipe:
         removed = wipe_cache()
-        print(f"removed {removed} cached results")
+        print(f"removed {removed} cached files (results and compiled "
+              f"kernels)")
     info = cache_info()
     state = "enabled" if info["enabled"] else "disabled (REPRO_NO_CACHE)"
     print(f"cache dir: {info['dir']} ({state})")
     print(f"entries:   {info['entries']} ({info['bytes']} bytes)")
+    print(f"compiled:  {info['compiled']} kernels "
+          f"({info['compiled_bytes']} bytes)")
     if default_ledger_path().exists():
         records = load_records(limit=1)
         if records:

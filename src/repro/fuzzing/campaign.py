@@ -157,11 +157,15 @@ def _defense_name(config: CampaignConfig) -> Optional[str]:
     return None
 
 
+def program_seeds(seed: int, n_programs: int) -> List[int]:
+    """Per-program seeds of a campaign with master ``seed``, drawn from
+    the master RNG up front so fan-out order cannot perturb them."""
+    master = random.Random(seed)
+    return [master.randrange(1 << 30) for _ in range(n_programs)]
+
+
 def _program_seeds(config: CampaignConfig) -> List[int]:
-    """Per-program seeds, drawn from the master RNG up front so fan-out
-    order cannot perturb them."""
-    master = random.Random(config.seed)
-    return [master.randrange(1 << 30) for _ in range(config.n_programs)]
+    return program_seeds(config.seed, config.n_programs)
 
 
 def _run_program(config: CampaignConfig, program_seed: int,

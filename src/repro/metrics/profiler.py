@@ -7,8 +7,9 @@ subsystem map, so "make the hot path faster" work starts from a
 breakdown in the simulator's own vocabulary instead of a wall of
 function names.
 
-Because the subsystem map partitions every profiled function (unmatched
-frames land in ``host-runtime``), the per-subsystem times sum exactly
+Because the subsystem map partitions every profiled function (generated
+compiled-engine kernels land in ``compiled-pipeline``, unmatched frames
+in ``host-runtime``), the per-subsystem times sum exactly
 to the profile's total internal time — asserted by the test suite, so
 the breakdown can never silently drop a hot spot.
 
@@ -54,9 +55,16 @@ SUBSYSTEM_RULES: Tuple[Tuple[str, str], ...] = (
 #: Catch-all for frames outside ``src/repro`` (stdlib, builtins).
 HOST_SUBSYSTEM = "host-runtime"
 
+#: Frames of the compiled engine's generated kernels.
+COMPILED_SUBSYSTEM = "compiled-pipeline"
+
 
 def classify_module(filename: str) -> str:
     """Map a profiled frame's filename to its simulator subsystem."""
+    from ..uarch.compiled import KERNEL_FILENAME_PREFIX
+
+    if filename.startswith(KERNEL_FILENAME_PREFIX):
+        return COMPILED_SUBSYSTEM
     path = filename.replace("\\", "/")
     marker = "/repro/"
     index = path.rfind(marker)

@@ -17,9 +17,16 @@ emits one flat ``run(core)`` function in which
   along with the machinery that only exists to service them (a defense
   that never refuses ``may_resolve`` on a core without the buggy
   squash port cannot populate the pending-resolution list, so neither
-  the retry loop nor its fast-forward cache check is emitted),
-* all hot scalars (cycle, sequence counter, event counters, retry-cache
-  fields) are function locals instead of attribute loads.
+  the retry loop nor its fast-forward check is emitted),
+* a refused uop is *parked* with its own wake condition — the ROB-head
+  seq its ``*_recheck_seq`` hint names and an epoch of the events that
+  can overturn the refusal — and its hook is called again only when
+  that condition fires; in between the refusal's counters are replayed
+  without a call, so every ``delayed_*`` counter and intervention
+  episode stays exactly the per-cycle interpreter's,
+* all hot scalars (cycle, sequence counter, event counters, the parked
+  lists' earliest-wake summaries) are function locals instead of
+  attribute loads.
 
 The generated function mutates the same ``Core`` state objects (PRF,
 ROB, LSQ, caches, branch predictor, defense) the interpreter does and
@@ -30,7 +37,8 @@ the bit-identical :class:`CoreResult` contract checked by the three-way
 Compiled artifacts are content-addressed exactly like the bench result
 cache: program fingerprint + full config + defense identity/params +
 simulator-source hash (see :func:`compile_key`).  Artifacts are cached
-in-process and on disk under ``<bench cache>/compiled/``.
+in-process and on disk under ``<bench cache>/compiled/``; a damaged
+disk artifact is regenerated (see :func:`_load_artifact`).
 """
 
 from __future__ import annotations
@@ -54,7 +62,7 @@ from .pipeline import (
 #: cached artifact (the simulator-source hash usually also changes, but
 #: the version makes intent explicit and survives hash collisions of
 #: whitespace-only edits).
-CODEGEN_VERSION = 2
+CODEGEN_VERSION = 3
 
 #: Stable opcode -> kind-integer mapping used by the generated decode
 #: tables (enum definition order; append-only by ISA convention).
@@ -131,6 +139,14 @@ class DefenseTraits:
 # Content-addressed artifact cache
 # =====================================================================
 
+#: Last line of every generated module: an artifact without it was cut
+#: short on its way to disk.
+ARTIFACT_END = "# end of generated kernel\n"
+
+#: Code-object filename of every generated kernel (``<prefix>KEY>``), by
+#: which the profiler files its frames under ``compiled-pipeline``.
+KERNEL_FILENAME_PREFIX = "<repro-compiled:"
+
 _MEM_CACHE: Dict[str, object] = {}
 _MEM_CACHE_LIMIT = 256
 
@@ -170,10 +186,24 @@ def clear_compile_cache() -> None:
     _MEM_CACHE.clear()
 
 
-def compile_cache_info() -> Dict[str, int]:
-    path = artifact_dir()
-    on_disk = len(list(path.glob("*.py"))) if path.is_dir() else 0
-    return {"memory": len(_MEM_CACHE), "disk": on_disk}
+def _load_artifact(path, filename: str):
+    """Code object of an on-disk artifact, or None when it is unusable.
+
+    A truncated or otherwise damaged file (an interrupted writer, a full
+    disk) either fails to compile or lacks the end marker
+    :func:`generate_source` writes last; either way it counts as a miss,
+    so the caller regenerates and overwrites it instead of failing every
+    later run of the same triple."""
+    try:
+        source = path.read_text()
+    except (OSError, UnicodeDecodeError):
+        return None
+    if not source.endswith(ARTIFACT_END):
+        return None
+    try:
+        return compile(source, filename, "exec")
+    except (SyntaxError, ValueError):
+        return None
 
 
 def compile_step(program, config: CoreConfig, defense, metrics=None):
@@ -192,17 +222,16 @@ def compile_step(program, config: CoreConfig, defense, metrics=None):
         return fn
 
     start = time.perf_counter()
-    source = None
+    filename = f"{KERNEL_FILENAME_PREFIX}{key[:12]}>"
+    code = None
     disk = cache_enabled()
     path = artifact_dir() / f"{key}.py" if disk else None
     if disk and path.is_file():
-        try:
-            source = path.read_text()
-        except OSError:
-            source = None
-    from_disk = source is not None
-    if source is None:
+        code = _load_artifact(path, filename)
+    from_disk = code is not None
+    if code is None:
         source = generate_source(program, config, defense)
+        code = compile(source, filename, "exec")
         if disk:
             try:
                 path.parent.mkdir(parents=True, exist_ok=True)
@@ -212,7 +241,6 @@ def compile_step(program, config: CoreConfig, defense, metrics=None):
             except OSError:
                 pass
     namespace: Dict[str, object] = {"__name__": f"repro.uarch._compiled_{key[:12]}"}
-    code = compile(source, f"<repro-compiled:{key[:12]}>", "exec")
     exec(code, namespace)  # noqa: S102 - our own generated source
     fn = namespace["run"]
     if len(_MEM_CACHE) >= _MEM_CACHE_LIMIT:
@@ -331,34 +359,53 @@ def generate_source(program, config: CoreConfig, defense) -> str:
     alu_lat = config.alu_latency
     mul_lat = config.mul_latency
 
+    # ---- per-uop wake conditions -------------------------------------
+    # A refused uop is *parked*: it records the ROB-head seq at which
+    # its refusal can first flip (``park_seq``, from the defense's
+    # ``*_recheck_seq`` hint or the structural threshold), and an epoch:
+    # a sum of the (monotone) event counters whose events can overturn
+    # it.  Until the head reaches its barrier or that sum moves, a re-poll
+    # would repeat the same refusal, so the kernel replays its counter
+    # side effects instead of calling the hook.
+    disamb = has_loads and has_stores
+    ep_gate = "evt_squash"
+    if ctrl:
+        ep_gate += " + evt_resolve"
+    if load_sens and has_loads:
+        ep_gate += " + evt_load"
+    ep_div = ep_gate + " + evt_div" if has_divs else ep_gate
+    ep_store = ep_gate + " + evt_store" if disamb else ep_gate
+    ep_notify = ep_gate if ctrl else ep_gate + " + evt_resolve"
+    # Issue-stage park kinds (``park_kind``): 0 defense refusal, 1 defense
+    # refusal of a divide (also woken by divider events), 2 memory
+    # disambiguation, 3 MFENCE / busy divider.  Kinds < 2 are refusals
+    # the ``delayed_transmitters`` counter records on every poll.
+    multi_epoch = has_divs or disamb
+    exec_eps = f"({ep_gate}, {ep_div}, {ep_store}, {ep_gate})"
+    # Summary epochs: any event that can wake *some* parked uop.
+    ep_blocked = ep_gate + (" + evt_div" if has_divs else "") + (
+        " + evt_store" if disamb else "")
+    ep_res = "evt_squash + evt_resolve" + (
+        " + evt_load" if load_sens and has_loads else "")
+
     # ---- condition strings (shared by stage + fast-forward) ----------
-    def issue_ok() -> str:
-        parts = ["is_valid", "is_squash == evt_squash",
-                 "is_div == evt_div", "cycle < is_retry"]
-        if ctrl:
-            parts.append("is_resolve == evt_resolve")
-        parts.append("(not is_hasdis or is_store == evt_store)")
-        if load_sens:
-            parts.append("is_load == evt_load")
-        parts.append("robq and robq[0].seq < is_barrier")
+    # Each parked list keeps the earliest wake over its members; while
+    # every member sleeps, the stage replays its counters in O(1) and
+    # the fast-forward may jump (to the earliest cycle-based wake).
+    def blocked_asleep() -> str:
+        parts = ["bl_asleep", "robq and robq[0].seq < bl_seq"]
+        if has_divs:
+            parts.append("cycle < bl_cycle")
+        parts.append(f"{ep_blocked} == bl_epoch")
         return "(" + "\n        and ".join(parts) + ")"
 
-    def res_ok() -> str:
-        parts = ["rs_valid", "rs_squash == evt_squash",
-                 "rs_resolve == evt_resolve"]
-        if load_sens:
-            parts.append("rs_load == evt_load")
-        parts.append("robq and robq[0].seq < rs_barrier")
-        return "(" + "\n        and ".join(parts) + ")"
+    def res_asleep() -> str:
+        return ("(rs_asleep and robq and robq[0].seq < rs_seq"
+                f"\n        and {ep_res} == rs_epoch)")
 
-    def wake_ok() -> str:
-        parts = ["wk_valid", "wk_squash == evt_squash"]
-        if ctrl:
-            parts.append("wk_resolve == evt_resolve")
-        if load_sens:
-            parts.append("wk_load == evt_load")
-        parts.append("robq and robq[0].seq < wk_barrier")
-        return "(" + "\n        and ".join(parts) + ")"
+    def wake_asleep() -> str:
+        return ("(pw_asleep and robq and robq[0].seq < pw_seq"
+                f"\n        and {ep_gate} == pw_epoch)")
 
     s = _Emitter()
     s(f'"""Specialized pipeline for one (program, config, defense) triple.')
@@ -477,7 +524,6 @@ def generate_source(program, config: CoreConfig, defense) -> str:
     s("iq_count = core.iq_count")
     s("last_commit = core._last_commit_cycle")
     s("rename_block = None")
-    s("disamb_blocker = core._disamb_blocker")
     s("blocked = core._blocked")
     s("pend_wake = core._pending_wakeup")
     s("pend_res = core._pending_resolution")
@@ -486,28 +532,11 @@ def generate_source(program, config: CoreConfig, defense) -> str:
     s("evt_div = core._evt_div")
     s("evt_store = core._evt_store")
     s("evt_load = core._evt_load")
-    s("is_valid = core._issue_valid")
-    s("is_squash = core._issue_squash")
-    s("is_resolve = core._issue_resolve")
-    s("is_div = core._issue_div")
-    s("is_store = core._issue_store")
-    s("is_load = core._issue_load")
-    s("is_hasdis = core._issue_has_disamb")
-    s("is_barrier = core._issue_barrier")
-    s("is_retry = core._issue_retry_cycle")
-    s("blocked_refusals = core._blocked_refusals")
-    s("rs_valid = core._res_valid")
-    s("rs_squash = core._res_squash")
-    s("rs_resolve = core._res_resolve")
-    s("rs_load = core._res_load")
-    s("rs_barrier = core._res_barrier")
-    s("rs_live = core._res_live")
-    s("rs_refused = core._res_refused")
-    s("wk_valid = core._wake_valid")
-    s("wk_squash = core._wake_squash")
-    s("wk_resolve = core._wake_resolve")
-    s("wk_load = core._wake_load")
-    s("wk_barrier = core._wake_barrier")
+    s("# earliest-wake summaries of the parked lists (rebuilt by a walk)")
+    s("bl_asleep = rs_asleep = pw_asleep = False")
+    s(f"bl_seq = bl_cycle = rs_seq = pw_seq = {_NEVER_LIT}")
+    s("bl_epoch = rs_epoch = pw_epoch = -1")
+    s("bl_refusals = rs_live = rs_refused = 0")
     s("ff_cycles = core._ff_cycles")
     s("ff_jumps = core._ff_jumps")
     s("")
@@ -544,6 +573,47 @@ def generate_source(program, config: CoreConfig, defense) -> str:
     s.dedent()
     s("")
 
+    # ---- refusal closures (cold: only real hook refusals reach them) --
+    if h_exec:
+        s("def refuse_exec(u, kind):")
+        s.indent()
+        s("dstats['delayed_transmitters'] += 1")
+        s("if u.exec_block_cycle < 0:")
+        s.indent()
+        s("u.exec_block_cycle = cycle")
+        s("dstats['exec_interventions'] += 1")
+        s("stats['_open_exec'] += 1")
+        s("stats['_open_exec_sum'] += cycle")
+        s.dedent()
+        s("u.block_reason = 'defense_execute'")
+        if traits.execute_recheck_seq:
+            s("seq = d_exec_recheck(u)")
+            s("u.park_seq = robq[0].seq + 1 if seq is None else seq")
+        else:
+            s("u.park_seq = robq[0].seq + 1")
+        if has_divs:
+            s(f"u.park_epoch = {ep_div} if kind else {ep_gate}")
+        else:
+            s(f"u.park_epoch = {ep_gate}")
+        s("u.park_kind = kind")
+        if has_divs:
+            s(f"u.park_cycle = {_NEVER_LIT}")
+        s.dedent()
+        s("")
+    if wake_possible:
+        s("def refuse_wake(u):")
+        s.indent()
+        if traits.wakeup_recheck_seq:
+            s("seq = d_wake_recheck(u)")
+            s("if seq is None:")
+            s("    seq = robq[0].seq + 1 if robq else 0")
+            s("u.wpark_seq = seq")
+        else:
+            s("u.wpark_seq = robq[0].seq + 1 if robq else 0")
+        s(f"u.wpark_epoch = {ep_gate}")
+        s.dedent()
+        s("")
+
     # ---- execute dispatch (emitted at two sites) ---------------------
     def emit_exec_dispatch(fail: str, success: str) -> None:
         """Emit the per-kind execute dispatch for uop ``u``.
@@ -551,21 +621,23 @@ def generate_source(program, config: CoreConfig, defense) -> str:
         ``fail``/``success`` are the control-flow tails for refusal and
         issue (either ``return False``/``return True`` inside the
         ``try_exec`` closure, or ``continue``-based inline forms in the
-        hot ready-queue loop).
+        hot ready-queue loop).  Every refusal site parks ``u`` first.
         """
-        def gate() -> None:
+        def park(reason: str, seq: str, epoch: str, kind: int,
+                 until: str = _NEVER_LIT) -> None:
+            s(f"u.block_reason = '{reason}'")
+            s(f"u.park_seq = {seq}")
+            s(f"u.park_epoch = {epoch}")
+            s(f"u.park_kind = {kind}")
+            if has_divs:
+                s(f"u.park_cycle = {until}")
+            s(fail)
+
+        def gate(div: bool = False) -> None:
             if h_exec:
                 s("if not d_may_exec(u):")
                 s.indent()
-                s("dstats['delayed_transmitters'] += 1")
-                s("if u.exec_block_cycle < 0:")
-                s.indent()
-                s("u.exec_block_cycle = cycle")
-                s("dstats['exec_interventions'] += 1")
-                s("stats['_open_exec'] += 1")
-                s("stats['_open_exec_sum'] += cycle")
-                s.dedent()
-                s("u.block_reason = 'defense_execute'")
+                s(f"refuse_exec(u, {1 if div else 0})")
                 s(fail)
                 s.dedent()
                 # Close at the gate-allow (before any structural scan),
@@ -603,9 +675,9 @@ def generate_source(program, config: CoreConfig, defense) -> str:
             s.dedent()
             s("if stall_st is not None:")
             s.indent()
-            s("disamb_blocker = stall_st")
-            s("u.block_reason = 'disambiguation'")
-            s(fail)
+            # Only the blocking store executing (a store event) or
+            # committing (the head passing it) changes this scan.
+            park("disambiguation", "stall_st.seq", ep_store, 2)
             s.dedent()
             s("if best is not None:")
             s.indent()
@@ -638,8 +710,7 @@ def generate_source(program, config: CoreConfig, defense) -> str:
             if op is Op.MFENCE:
                 s("if not robq or robq[0].seq != u.seq:")
                 s.indent()
-                s("u.block_reason = 'mfence'")
-                s(fail)
+                park("mfence", "u.seq", ep_gate, 3)
                 s.dedent()
                 s("latency = 1")
                 # Release the frontend stall this fence imposed at
@@ -648,10 +719,9 @@ def generate_source(program, config: CoreConfig, defense) -> str:
             elif op in (Op.DIV, Op.REM):
                 s("if cycle < divbusy:")
                 s.indent()
-                s("u.block_reason = 'div_busy'")
-                s(fail)
+                park("div_busy", _NEVER_LIT, ep_gate, 3, until="divbusy")
                 s.dedent()
-                gate()
+                gate(div=True)
                 s("ps = u.psrcs")
                 s("a = pvals[ps[0][1]]")
                 s("b = pvals[ps[1][1]]")
@@ -879,7 +949,7 @@ def generate_source(program, config: CoreConfig, defense) -> str:
     if blockable:
         s("def try_exec(u):")
         s.indent()
-        s("nonlocal divbusy, iq_count, disamb_blocker, "
+        s("nonlocal divbusy, iq_count, "
           "evt_load, evt_store, evt_div"
           + (", fblocked" if has_mfence else ""))
         s("pc = u.pc")
@@ -892,7 +962,7 @@ def generate_source(program, config: CoreConfig, defense) -> str:
     if has_branches:
         s("def attempt_res(u):")
         s.indent()
-        s("nonlocal evt_resolve, evt_squash, rs_valid, iq_count, "
+        s("nonlocal evt_resolve, evt_squash, rs_asleep, iq_count, "
           "fpc, fstall, fblocked")
         if traits.may_resolve:
             s("if not d_may_res(u):")
@@ -907,8 +977,15 @@ def generate_source(program, config: CoreConfig, defense) -> str:
             s.dedent()
             s("u.block_reason = 'defense_resolution'")
             s("u.resolution_pending = True")
+            if traits.resolve_recheck_seq:
+                s("seq = d_res_recheck(u)")
+                s("u.park_seq = robq[0].seq + 1 if seq is None else seq")
+            else:
+                s("u.park_seq = robq[0].seq + 1")
+            s(f"u.park_epoch = {ep_gate}")
+            s("u.park_kind = 0")
             s("pend_res.append(u)")
-            s("rs_valid = False")
+            s("rs_asleep = False")
             s("return")
             s.dedent()
             # Close before the buggy-squash-port check: bug-port hold
@@ -929,8 +1006,12 @@ def generate_source(program, config: CoreConfig, defense) -> str:
             s.indent()
             s("u.block_reason = 'squash_notify'")
             s("u.resolution_pending = True")
+            # Held until the older blocker resolves or is squashed.
+            s(f"u.park_seq = {_NEVER_LIT}")
+            s(f"u.park_epoch = {ep_notify}")
+            s("u.park_kind = 1")
             s("pend_res.append(u)")
-            s("rs_valid = False")
+            s("rs_asleep = False")
             s("return")
             s.dedent()
             s.dedent()
@@ -1257,8 +1338,9 @@ def generate_source(program, config: CoreConfig, defense) -> str:
         s("stats['_open_wakeup_sum'] += cycle")
         s.dedent()
         s("u.wakeup_pending = True")
+        s("refuse_wake(u)")
         s("pend_wake.append(u)")
-        s("wk_valid = False")
+        s("pw_asleep = False")
         s.dedent()
     else:
         s("do_wakeup(u)")
@@ -1268,23 +1350,27 @@ def generate_source(program, config: CoreConfig, defense) -> str:
     s("")
 
     # ---- retry pending -----------------------------------------------
+    # Each walk re-polls only the entries whose own wake condition holds
+    # (barrier reached or epoch moved); a sleeping entry replays the
+    # refusal's counters.  A walk with no event in it leaves every entry
+    # asleep, so it records the list's earliest wake for O(1) replay.
     if res_possible:
         s("# ---- pending-resolution retry ----")
         s("if pend_res:")
         s.indent()
-        s(f"if {res_ok()}:")
+        s(f"if {res_asleep()}:")
         s.indent()
         s("stats['delayed_resolution_cycles'] += rs_live")
         s("dstats['delayed_resolutions'] += rs_refused")
         s.dedent()
         s("else:")
         s.indent()
-        s("rs_valid = False")
-        s("squash0 = evt_squash")
-        s("resolve0 = evt_resolve")
-        s("load0 = evt_load")
-        s("refused0 = dstats['delayed_resolutions']")
-        s("live = 0")
+        s("rs_asleep = False")
+        s(f"ep0 = {ep_res}")
+        s(f"hseq = robq[0].seq if robq else {_NEVER_LIT}")
+        s(f"e = {ep_gate}")
+        if buggy:
+            s(f"eps = (e, {ep_notify})")
         s("pending = pend_res")
         s("pending.sort()")
         s("pend_res = []")
@@ -1292,86 +1378,71 @@ def generate_source(program, config: CoreConfig, defense) -> str:
         s.indent()
         s("if u.squashed or u.resolved:")
         s("    continue")
-        s("live += 1")
         s("stats['delayed_resolution_cycles'] += 1")
-        s("attempt_res(u)")
-        s.dedent()
-        s("if (pend_res and squash0 == evt_squash")
-        s("        and resolve0 == evt_resolve and load0 == evt_load):")
+        epoch = "eps[u.park_kind]" if buggy else "e"
+        s(f"if u.park_epoch == {epoch} and hseq < u.park_seq:")
         s.indent()
-        s(f"barrier = {_NEVER_LIT}")
+        if buggy:
+            s("if u.park_kind == 0:")
+            s("    dstats['delayed_resolutions'] += 1")
+        else:
+            s("dstats['delayed_resolutions'] += 1")
+        s("pend_res.append(u)")
+        s.dedent()
+        s("else:")
+        s.indent()
+        s("attempt_res(u)")
+        s(f"e = {ep_gate}")
+        if buggy:
+            s(f"eps = (e, {ep_notify})")
+        s.dedent()
+        s.dedent()
+        s(f"if pend_res and ep0 == {ep_res}:")
+        s.indent()
+        s("rs_asleep = True")
+        s("rs_epoch = ep0")
+        s("rs_live = len(pend_res)")
+        s("rs_refused = 0" if buggy else "rs_refused = rs_live")
+        s(f"rs_seq = {_NEVER_LIT}")
         s("for u in pend_res:")
         s.indent()
-        if traits.may_resolve:
-            s("if u.block_reason == 'defense_resolution':")
-            s.indent()
-            if traits.resolve_recheck_seq:
-                s("seq = d_res_recheck(u)")
-                s("if seq is None:")
-                s("    seq = robq[0].seq + 1")
-            else:
-                s("seq = robq[0].seq + 1")
-            s("if seq < barrier:")
-            s("    barrier = seq")
-            s.dedent()
-        else:
-            s("pass  # squash_notify entries need no barrier")
+        if buggy:
+            s("if u.park_kind == 0:")
+            s("    rs_refused += 1")
+        s("if u.park_seq < rs_seq:")
+        s("    rs_seq = u.park_seq")
         s.dedent()
-        s("rs_valid = True")
-        s("rs_squash = squash0")
-        s("rs_resolve = resolve0")
-        s("rs_load = load0")
-        s("rs_barrier = barrier")
-        s("rs_live = live")
-        s("rs_refused = dstats['delayed_resolutions'] - refused0")
         s.dedent()
         s.dedent()
         s.dedent()
         s("")
     if wake_possible:
         s("# ---- pending-wakeup retry ----")
-        s("if pend_wake:")
+        s(f"if pend_wake and not {wake_asleep()}:")
         s.indent()
-        s(f"if not {wake_ok()}:")
-        s.indent()
-        s("wk_valid = False")
-        s("squash0 = evt_squash")
-        s("resolve0 = evt_resolve")
-        s("load0 = evt_load")
+        s(f"hseq = robq[0].seq if robq else {_NEVER_LIT}")
+        s(f"e = {ep_gate}")
+        s(f"pw_seq = {_NEVER_LIT}")
         s("pending = pend_wake")
         s("pend_wake = []")
         s("for u in pending:")
         s.indent()
         s("if u.squashed:")
         s("    continue")
+        s("if u.wpark_epoch != e or hseq >= u.wpark_seq:")
+        s.indent()
         s("if d_may_wake(u):")
         s("    do_wakeup(u)")
-        s("else:")
-        s("    pend_wake.append(u)")
+        s("    continue")
+        s("refuse_wake(u)")
         s.dedent()
-        s("if (pend_wake and squash0 == evt_squash")
-        s("        and resolve0 == evt_resolve and load0 == evt_load):")
-        s.indent()
-        s(f"barrier = {_NEVER_LIT}")
-        s("head_next = robq[0].seq + 1 if robq else 0")
-        s("for u in pend_wake:")
-        s.indent()
-        if traits.wakeup_recheck_seq:
-            s("seq = d_wake_recheck(u)")
-            s("if seq is None:")
-            s("    seq = head_next")
-        else:
-            s("seq = head_next")
-        s("if seq < barrier:")
-        s("    barrier = seq")
+        s("pend_wake.append(u)")
+        s("if u.wpark_seq < pw_seq:")
+        s("    pw_seq = u.wpark_seq")
         s.dedent()
-        s("wk_valid = True")
-        s("wk_squash = squash0")
-        s("wk_resolve = resolve0")
-        s("wk_load = load0")
-        s("wk_barrier = barrier")
-        s.dedent()
-        s.dedent()
+        # Wakeups are not events: this walk always leaves all asleep.
+        s("pw_asleep = True")
+        s("pw_epoch = e")
         s.dedent()
         s("")
 
@@ -1381,95 +1452,82 @@ def generate_source(program, config: CoreConfig, defense) -> str:
     if blockable:
         s("if blocked:")
         s.indent()
-        s(f"if {issue_ok()}:")
+        s(f"if {blocked_asleep()}:")
         s.indent()
-        s("dstats['delayed_transmitters'] += blocked_refusals")
+        if h_exec:
+            s("dstats['delayed_transmitters'] += bl_refusals")
+        else:
+            s("pass")
         s.dedent()
         s("else:")
         s.indent()
-        s("is_valid = False")
-        s("squash0 = evt_squash")
-        s("resolve0 = evt_resolve")
-        s("div0 = evt_div")
-        s("store0 = evt_store")
-        s("load0 = evt_load")
-        s("refused0 = dstats['delayed_transmitters']")
-        s(f"barrier = {_NEVER_LIT}")
-        s("unknown = False")
-        s("has_disamb = False")
-        s(f"retry_cycle = {_NEVER_LIT}")
+        s("bl_asleep = False")
+        s(f"hseq = robq[0].seq if robq else {_NEVER_LIT}")
+        if multi_epoch:
+            s(f"eps = {exec_eps}")
+        else:
+            s(f"e = {ep_gate}")
+        s("refused = 0")
+        s(f"wseq = {_NEVER_LIT}")
+        if has_divs:
+            s(f"wcycle = {_NEVER_LIT}")
         s("blocked.sort()")
         s("still_b = []")
         s("for u in blocked:")
         s.indent()
         s("if u.squashed or u.issued:")
         s("    continue")
-        s(f"if issued < {width} and try_exec(u):")
+        # Seq-ordered polling stops at the issue width, exactly like the
+        # per-cycle engine: entries past the cutoff are neither polled
+        # nor counted.
+        s(f"if issued < {width}:")
+        s.indent()
+        asleep = ["u.park_epoch == " + ("eps[u.park_kind]" if multi_epoch
+                                        else "e"),
+                  "hseq < u.park_seq"]
+        if has_divs:
+            asleep.append("cycle < u.park_cycle")
+        s("if (" + "\n        and ".join(asleep) + "):")
+        s.indent()
+        if h_exec:
+            s("if u.park_kind < 2:")
+            s("    dstats['delayed_transmitters'] += 1")
+        else:
+            s("pass")
+        s.dedent()
+        s("elif try_exec(u):")
         s.indent()
         s("issued += 1")
+        if multi_epoch:
+            s(f"eps = {exec_eps}")
+        else:
+            s(f"e = {ep_gate}")
         s("continue")
         s.dedent()
+        s.dedent()
         s("still_b.append(u)")
-        s("reason = u.block_reason")
-        chain: List[Tuple[str, List[str]]] = []
         if h_exec:
-            body = []
-            if traits.execute_recheck_seq:
-                body += ["seq = d_exec_recheck(u)",
-                         "if seq is None:",
-                         "    unknown = True",
-                         "elif seq < barrier:",
-                         "    barrier = seq"]
-            else:
-                body += ["unknown = True"]
-            chain.append(("reason == 'defense_execute'", body))
-        if has_loads:
-            chain.append(("reason == 'disambiguation'",
-                          ["has_disamb = True",
-                           "if (disamb_blocker is not None",
-                           "        and disamb_blocker.seq < barrier):",
-                           "    barrier = disamb_blocker.seq"]))
-        if has_mfence:
-            chain.append(("reason == 'mfence'",
-                          ["if u.seq < barrier:",
-                           "    barrier = u.seq"]))
-        for i, (cnd, body) in enumerate(chain):
-            s(f"{'if' if i == 0 else 'elif'} {cnd}:")
-            s.indent()
-            for line in body:
-                s(line)
-            s.dedent()
+            s("if u.park_kind < 2:")
+            s("    refused += 1")
+        s("if u.park_seq < wseq:")
+        s("    wseq = u.park_seq")
         if has_divs:
-            if chain:
-                s("else:  # div_busy")
-                s("    retry_cycle = divbusy")
-            else:
-                s("retry_cycle = divbusy")
+            s("if u.park_cycle < wcycle:")
+            s("    wcycle = u.park_cycle")
         s.dedent()  # for u in blocked
         s("blocked = still_b")
-        s(f"if (still_b and issued < {width}")
-        s("        and squash0 == evt_squash and resolve0 == evt_resolve")
-        s("        and div0 == evt_div and store0 == evt_store")
-        s("        and load0 == evt_load):")
+        # Nothing issued means no event happened during the walk: every
+        # entry is asleep until the earliest wake recorded here.
+        s("if not issued:")
         s.indent()
-        s("if unknown:")
-        s.indent()
-        s("seq = robq[0].seq + 1")
-        s("if seq < barrier:")
-        s("    barrier = seq")
+        s("bl_asleep = True")
+        s(f"bl_epoch = {ep_blocked}")
+        s("bl_seq = wseq")
+        if has_divs:
+            s("bl_cycle = wcycle")
+        s("bl_refusals = refused")
         s.dedent()
-        s("is_valid = True")
-        s("is_squash = squash0")
-        s("is_resolve = resolve0")
-        s("is_div = div0")
-        s("is_store = store0")
-        s("is_load = load0")
-        s("is_hasdis = has_disamb")
-        s("is_barrier = barrier")
-        s("is_retry = retry_cycle")
-        s("blocked_refusals = dstats['delayed_transmitters'] - refused0")
-        s.dedent()
-        s.dedent()  # else (cache not ok)
+        s.dedent()  # else (walk)
         s.dedent()  # if blocked
     s(f"while issued < {width} and ready_q:")
     s.indent()
@@ -1479,7 +1537,7 @@ def generate_source(program, config: CoreConfig, defense) -> str:
     s("pc = u.pc")
     s("k = K[pc]")
     if blockable:
-        fail = "blocked.append(u)\nis_valid = False\ncontinue"
+        fail = "blocked.append(u)\nbl_asleep = False\ncontinue"
     else:  # pragma: no cover - nothing in this program can block
         fail = "continue"
     emit_exec_dispatch(fail=fail, success="issued += 1")
@@ -1691,7 +1749,7 @@ def generate_source(program, config: CoreConfig, defense) -> str:
     if res_possible:
         s("if pend_res:")
         s.indent()
-        s(f"if {res_ok()}:")
+        s(f"if {res_asleep()}:")
         s.indent()
         s("res_live_ff = rs_live")
         s("res_refused_ff = rs_refused")
@@ -1700,13 +1758,13 @@ def generate_source(program, config: CoreConfig, defense) -> str:
         s("    ok = False")
         s.dedent()
     if wake_possible:
-        s(f"if ok and pend_wake and not {wake_ok()}:")
+        s(f"if ok and pend_wake and not {wake_asleep()}:")
         s("    ok = False")
     if blockable:
         s("if ok and blocked:")
         s.indent()
-        s(f"if {issue_ok()}:")
-        s("    blocked_ref_ff = blocked_refusals")
+        s(f"if {blocked_asleep()}:")
+        s("    blocked_ref_ff = bl_refusals")
         s("else:")
         s("    ok = False")
         s.dedent()
@@ -1724,9 +1782,10 @@ def generate_source(program, config: CoreConfig, defense) -> str:
     s.dedent()
     s("if cycle < fstall < target:")
     s("    target = fstall")
-    if blockable:
-        s(f"if blocked and is_retry != {_NEVER_LIT} and is_retry < target:")
-        s("    target = is_retry")
+    if blockable and has_divs:
+        # Jump at most to the earliest cycle-based wake (a busy divider).
+        s("if blocked and bl_cycle < target:")
+        s("    target = bl_cycle")
     s("while wtimes and wtimes[0] not in wheel:")
     s("    heappop(wtimes)")
     s("if wtimes:")
@@ -1791,7 +1850,6 @@ def generate_source(program, config: CoreConfig, defense) -> str:
     s("core.iq_count = iq_count")
     s("core._last_commit_cycle = last_commit")
     s("core._rename_block = rename_block")
-    s("core._disamb_blocker = disamb_blocker")
     s("core._blocked = blocked")
     s("core._pending_wakeup = pend_wake")
     s("core._pending_resolution = pend_res")
@@ -1800,32 +1858,11 @@ def generate_source(program, config: CoreConfig, defense) -> str:
     s("core._evt_div = evt_div")
     s("core._evt_store = evt_store")
     s("core._evt_load = evt_load")
-    s("core._issue_valid = is_valid")
-    s("core._issue_squash = is_squash")
-    s("core._issue_resolve = is_resolve")
-    s("core._issue_div = is_div")
-    s("core._issue_store = is_store")
-    s("core._issue_load = is_load")
-    s("core._issue_has_disamb = is_hasdis")
-    s("core._issue_barrier = is_barrier")
-    s("core._issue_retry_cycle = is_retry")
-    s("core._blocked_refusals = blocked_refusals")
-    s("core._res_valid = rs_valid")
-    s("core._res_squash = rs_squash")
-    s("core._res_resolve = rs_resolve")
-    s("core._res_load = rs_load")
-    s("core._res_barrier = rs_barrier")
-    s("core._res_live = rs_live")
-    s("core._res_refused = rs_refused")
-    s("core._wake_valid = wk_valid")
-    s("core._wake_squash = wk_squash")
-    s("core._wake_resolve = wk_resolve")
-    s("core._wake_load = wk_load")
-    s("core._wake_barrier = wk_barrier")
     s("core._ff_cycles = ff_cycles")
     s("core._ff_jumps = ff_jumps")
     s.dedent()
-    return s.source()
+    s("")
+    return s.source() + ARTIFACT_END
 
 
 # =====================================================================

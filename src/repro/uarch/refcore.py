@@ -27,6 +27,9 @@ Entry points:
   Tables II/III, used by ``repro diff`` and the test suite.
 * :func:`fixture_cases` — the security fixtures (Spectre v1, divider
   channel, squash-notification bug) under their signature configs.
+* :func:`fuzz_cell_cases` — the fuzzing hot spot: the seed-7 campaign's
+  ``rand``-instrumented programs on their UNPROT-SEQ input pairs under
+  the protected defenses, both speculation models, both cores.
 """
 
 from __future__ import annotations
@@ -352,6 +355,56 @@ def fixture_cases(engines: Tuple[str, ...] = DEFAULT_ENGINES,
                 memory_factory=lambda n=name: build(n)[1],
                 engines=engines, label=label)
             yield label, report
+
+
+#: Defenses of the fuzz-cell differential cases: every mechanism whose
+#: refusals the engines park and replay.
+FUZZ_CELL_DEFENSES: Tuple[str, ...] = ("track", "delay", "stt", "spt",
+                                       "spt-sb")
+
+
+def fuzz_cell_cases(programs: int = 3,
+                    engines: Tuple[str, ...] = DEFAULT_ENGINES,
+                    defenses: Tuple[str, ...] = FUZZ_CELL_DEFENSES,
+                    cores: Tuple[str, ...] = ("P", "E"),
+                    ) -> Iterator[Tuple[str, DiffReport]]:
+    """Differential runs of the fuzz cell ``repro fuzz --defense track
+    --seed 7`` exercises: the campaign's first ``programs`` 40-instruction
+    programs, ``rand``-instrumented, each run on both inputs of its
+    first UNPROT-SEQ test pair (base and mutated, drawn exactly as the
+    campaign draws them) under every defense x speculation model x
+    core.  These are the runs where defense refusals dominate, so they
+    are where parked-refusal replay must stay cycle-exact."""
+    from ..bench.runner import DEFENSES
+    from ..fuzzing.campaign import program_seeds
+    from ..fuzzing.generator import generate_program
+    from ..fuzzing.inputs import generate_input, mutate_input
+    from ..protcc import compile_program
+
+    for program_seed in program_seeds(7, programs):
+        binary = compile_program(
+            generate_program(program_seed, 40), "rand",
+            rng=random.Random(program_seed ^ 0xC0DE)).program
+        input_rng = random.Random(program_seed ^ 0xF00D)
+        base = generate_input(input_rng)
+        pair = (("base", base),
+                ("mutated", mutate_input(input_rng, base,
+                                         public_flips=False)))
+        for defense in defenses:
+            for model in (SpeculationModel.ATCOMMIT,
+                          SpeculationModel.CONTROL):
+                for core in cores:
+                    config = CORE_CONFIGS[core].replace(
+                        speculation_model=model)
+                    for name, test_input in pair:
+                        label = (f"fuzz-cell:{program_seed}/{defense}/"
+                                 f"{model.value}/{core}/{name}")
+                        _, report = run_engines(
+                            binary, DEFENSES[defense], config,
+                            memory_factory=test_input.build_memory,
+                            regs=test_input.build_regs(),
+                            engines=engines, label=label)
+                        yield label, report
 
 
 def mitigation_cases(engines: Tuple[str, ...] = DEFAULT_ENGINES,

@@ -53,6 +53,14 @@ class Uop:
         # open defense-intervention episodes (-1 = none): the cycle the
         # hook first refused this uop, cleared when the hook allows it
         "exec_block_cycle", "resolve_block_cycle", "wakeup_block_cycle",
+        # compiled-kernel wake condition of a refused (parked) uop: the
+        # ROB-head seq and event epoch at which its refusal can flip,
+        # its park kind, and a cycle bound (a busy divider); ``wpark_*``
+        # is the separate condition of a refused wakeup, which can
+        # coexist with a pending resolution (RET).  Written when the
+        # uop is parked and only read while it is, so never initialized.
+        "park_seq", "park_epoch", "park_kind", "park_cycle",
+        "wpark_seq", "wpark_epoch",
     )
 
     def __init__(self, seq: int, pc: int, inst: Instruction,

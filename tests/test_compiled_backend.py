@@ -19,6 +19,7 @@ from repro.fixtures import build
 from repro.metrics import MetricsRegistry, attached
 from repro.uarch import P_CORE, simulate
 from repro.uarch.compiled import (
+    ARTIFACT_END,
     CompiledCore,
     CompileUnsupported,
     clear_compile_cache,
@@ -114,6 +115,39 @@ def test_compile_step_cache_traffic(v1_program, tmp_path):
     artifact = tmp_path / "cache" / "compiled" / f"{key}.py"
     assert artifact.is_file(), "miss must persist the generated source"
     assert "def run(core):" in artifact.read_text()
+
+
+@pytest.mark.parametrize("damage", ["truncated", "unmarked", "garbage"])
+def test_damaged_disk_artifact_heals(v1_program, tmp_path, damage):
+    """An artifact cut short on its way to disk (or otherwise damaged)
+    is a miss: regenerated, overwritten, and the run still works."""
+    key = compile_key(v1_program, P_CORE, ProtTrack())
+    compile_step(v1_program, P_CORE, ProtTrack())
+    artifact = tmp_path / "cache" / "compiled" / f"{key}.py"
+    good = artifact.read_text()
+    assert good.endswith(ARTIFACT_END)
+    if damage == "truncated":
+        # Cut mid-statement: the classic interrupted-writer shape.
+        bad = good[:len(good) // 2].rsplit("(", 1)[0] + "(\n"
+    elif damage == "unmarked":
+        # Still valid Python, but the end marker never made it.
+        bad = good[:-len(ARTIFACT_END)]
+    else:
+        bad = "\x00\x01 not python"
+    artifact.write_text(bad)
+    clear_compile_cache()
+    registry = MetricsRegistry()
+    with attached(registry):
+        fn = compile_step(v1_program, P_CORE, ProtTrack())
+    counters = registry.snapshot()["counters"]
+    assert counters["uarch.compile_cache_misses"] == 1
+    assert "uarch.compile_cache_disk_hits" not in counters
+    assert artifact.read_text() == good, "the damaged file is overwritten"
+    assert callable(fn)
+    program, memory = build("v1-gadget")
+    healed = simulate(program, ProtTrack(), P_CORE, memory,
+                      engine="compiled")
+    assert healed.halt_reason == "halt"
 
 
 def test_compile_timer_observed(v1_program):

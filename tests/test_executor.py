@@ -512,6 +512,40 @@ def test_cache_info_tolerates_concurrent_wipe(isolated_cache,
     assert info["bytes"] == 0
 
 
+def test_cache_info_and_wipe_cover_compiled_kernels(isolated_cache):
+    """``repro cache`` reports and clears the compiled-kernel artifacts
+    (``compiled/*.py``) next to the result summaries."""
+    run_batch([FAST], jobs=1)
+    kernels = list((isolated_cache / "compiled").glob("*.py"))
+    assert kernels, "the compiled engine persisted no artifact"
+    info = executor.cache_info()
+    assert info["entries"] == 1
+    assert info["compiled"] == len(kernels)
+    assert info["compiled_bytes"] == sum(p.stat().st_size for p in kernels)
+    assert executor.wipe_cache() == 1 + len(kernels)
+    assert not list((isolated_cache / "compiled").glob("*.py"))
+    info = executor.cache_info()
+    assert (info["entries"], info["compiled"]) == (0, 0)
+
+
+def test_serial_batch_looks_up_each_pending_spec_once(isolated_cache,
+                                                      monkeypatch):
+    calls = []
+    real_load = executor.cache_load
+
+    def counting_load(spec):
+        calls.append(spec)
+        return real_load(spec)
+
+    monkeypatch.setattr(executor, "cache_load", counting_load)
+    run_batch([FAST, FAST_SPTSB], jobs=1)
+    assert sorted(calls, key=repr) == sorted([FAST, FAST_SPTSB], key=repr)
+    clear_summary_cache()
+    calls.clear()
+    run_batch([FAST, FAST_SPTSB], jobs=1)  # warm: one disk hit each
+    assert len(calls) == 2
+
+
 def test_wipe_cache_tolerates_vanished_files(isolated_cache,
                                              monkeypatch):
     run_batch([FAST], jobs=1)

@@ -306,6 +306,35 @@ def test_classify_module_rules():
     assert classify_module("/x/src/repro/newthing.py") == "repro-other"
 
 
+def test_classify_module_compiled_kernels():
+    assert classify_module("<repro-compiled:0123456789ab>") == \
+        "compiled-pipeline"
+
+
+def test_profile_attributes_compiled_kernel_frames(isolated_cache):
+    import cProfile
+    import pstats
+
+    from repro.defenses import ProtTrack
+    from repro.fixtures import build
+    from repro.uarch import P_CORE, simulate
+
+    program, memory = build("v1-gadget")
+    profile = cProfile.Profile()
+    profile.enable()
+    result = simulate(program, ProtTrack(), P_CORE, memory,
+                      engine="compiled")
+    profile.disable()
+    report = report_from_stats(pstats.Stats(profile), label="v1",
+                               cycles=result.cycles)
+    assert report.subsystems.get("compiled-pipeline", 0) > 0
+    assert sum(report.subsystems.values()) == pytest.approx(
+        report.total_s, rel=1e-9)
+    compiled = [e for e in report.entries
+                if e.subsystem == "compiled-pipeline"]
+    assert any(e.function.endswith("(run)") for e in compiled)
+
+
 def test_profile_subsystems_sum_to_total(isolated_cache):
     report = profile_spec(FAST)
     assert report.cycles > 0
