@@ -11,7 +11,6 @@ base binary* on the same core.
 from __future__ import annotations
 
 import math
-import os
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Optional, Tuple, Union
@@ -149,11 +148,11 @@ def execute_spec(spec: RunSpec, tracer=None,
     attached tracer it pins the per-cycle interpreter.
 
     ``engine`` picks the simulation engine (see
-    :data:`repro.uarch.pipeline.ENGINES`); None defers to the
-    ``REPRO_ENGINE`` environment variable and then to auto-selection
-    (compiled when possible).  The env-var path is what lets ``repro
-    bench --engine`` reach pool workers: child processes inherit the
-    environment, not the parent's argument values.
+    :data:`repro.uarch.pipeline.ENGINES`); None lets :func:`simulate`
+    defer to the ``REPRO_ENGINE`` environment variable and then to
+    auto-selection (compiled when possible).  The env-var path is what
+    lets ``repro bench --engine`` reach pool workers: child processes
+    inherit the environment, not the parent's argument values.
     """
     workload = get_workload(spec.workload)
     if spec.mitigation is not None:
@@ -162,8 +161,6 @@ def execute_spec(spec: RunSpec, tracer=None,
         program = workload.program
     else:
         program = compiled(spec.workload, spec.instrument).program
-    if engine is None:
-        engine = os.environ.get("REPRO_ENGINE") or None
     result = simulate(program, spec.defense_instance(),
                       spec.core_config(), workload.memory, workload.regs,
                       tracer=tracer, ledger=ledger, engine=engine)

@@ -68,7 +68,7 @@ import argparse
 import logging
 import os
 import sys
-from typing import List, Optional
+from typing import Dict, List, Optional
 
 
 def _emit(result) -> None:
@@ -261,7 +261,8 @@ def main(argv: Optional[List[str]] = None) -> int:
                      "nonzero on any divergence")
     diff.add_argument("--programs", type=int, default=3, metavar="N",
                       help="random programs per (defense, class, core) "
-                           "cell (default: 3)")
+                           "cell, fuzz-cell programs, and multi-core "
+                           ".mt programs (default: 3)")
     diff.add_argument("--seed", type=int, default=0)
     diff.add_argument("--size", type=int, default=40,
                       help="generated program size")
@@ -966,6 +967,8 @@ def _run_diff(args) -> int:
         fixture_cases,
         fuzz_cell_cases,
         mitigation_cases,
+        MULTICORE_PROGRAMS,
+        multicore_cases,
         parse_engines,
         run_case,
     )
@@ -989,11 +992,15 @@ def _run_diff(args) -> int:
     started = time.monotonic()
     timings = []  # (seconds, label)
     divergent_lines = []
+    groups: Dict[str, int] = {}  # label prefix -> runs
 
     def tally(report, seconds: float) -> None:
         nonlocal checked, divergent
         checked += 1
         timings.append((seconds, report.label))
+        group = report.label.split(":")[0] if ":" in report.label \
+            else "grid"
+        groups[group] = groups.get(group, 0) + 1
         if not report.identical:
             divergent += 1
             divergent_lines.append(report.render())
@@ -1032,6 +1039,11 @@ def _run_diff(args) -> int:
         # fixtures + one generated program) must agree across engines
         # too — the passes only add architectural no-ops.
         drain(mitigation_cases(engines=engines, seed=args.seed))
+    # The compiled lockstep driver against stepped cores, on the first
+    # --programs data-parallel programs.
+    drain(multicore_cases(
+        engines=engines, programs=MULTICORE_PROGRAMS[:args.programs],
+        defenses=tuple(args.defense) if args.defense else None))
     if args.workload:
         workload_iter = _diff_workloads(args.workload,
                                         tuple(args.defense)
@@ -1046,6 +1058,8 @@ def _run_diff(args) -> int:
             tally(report, time.monotonic() - case_started)
     elapsed = time.monotonic() - started
     timing_lines = _diff_timing_lines(timings, elapsed)
+    timing_lines.append("[diff] runs by group: " + ", ".join(
+        f"{group} {count}" for group, count in groups.items()))
     for line in timing_lines:
         print(line)
     status = "identical" if divergent == 0 else "DIVERGENT"

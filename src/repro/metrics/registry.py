@@ -94,12 +94,17 @@ METRIC_HELP: Dict[str, str] = {
     "fuzz.checks_per_sec": "campaign throughput in checks/second",
     "cache.full_result_evictions":
         "full CoreResults dropped from the in-process cache",
-    "uarch.sim_cycles": "core cycles simulated across all runs",
-    "uarch.runs": "simulations completed (any engine)",
-    "uarch.run_seconds": "host wall time per simulation",
-    "uarch.sim_cycles_per_sec": "fast-engine simulation throughput",
-    "uarch.compiled_cycles_per_sec":
-        "compiled-engine simulation throughput",
+    "uarch.sim_cycles": "core cycles simulated across all runs "
+        "(throughput = uarch.sim_cycles / uarch.run_seconds sum)",
+    "uarch.runs": "cores simulated to the end (any engine; one per "
+        "thread of a multi-core run)",
+    "uarch.run_seconds": "host wall time per simulated core (a "
+        "multi-core run's time split by each thread's cycles)",
+    "uarch.compiled_cycles": "core cycles simulated by the compiled "
+        "backend (throughput = uarch.compiled_cycles / "
+        "uarch.compiled_run_seconds sum)",
+    "uarch.compiled_run_seconds":
+        "host wall time per core simulated by the compiled backend",
     "uarch.compiled_runs": "simulations served by the compiled backend",
     "uarch.compile_seconds": "wall time spent generating/loading "
         "compiled artifacts",

@@ -5,7 +5,7 @@ cycle it re-dispatches on opcode enums, re-reads configuration
 attributes, and re-asks the defense questions whose answers were fixed
 the moment the (program, core config, defense) triple was chosen.  This
 module partial-evaluates that triple away: :func:`generate_source`
-emits one flat ``run(core)`` function in which
+emits one flat ``run(core, lockstep=False)`` generator function in which
 
 * every ``CoreConfig`` scalar (width, latencies, queue capacities,
   speculation model, the squash-notification bug) is a literal,
@@ -33,6 +33,13 @@ ROB, LSQ, caches, branch predictor, defense) the interpreter does and
 writes every scalar back on exit, so ``Core._result()`` — and therefore
 the bit-identical :class:`CoreResult` contract checked by the three-way
 ``repro diff`` — is shared with the other engines.
+
+The same kernel drives both a single core and the cores of a
+:class:`~repro.uarch.multicore.MultiCore`.  With ``lockstep`` set it
+yields, at the top of every loop iteration, the cycle it is about to
+simulate (after a fast-forward, the cycle it jumped to), so the
+multi-core driver can interleave cores cycle by cycle; a single core
+drains the generator, which then never yields.
 
 Compiled artifacts are content-addressed exactly like the bench result
 cache: program fingerprint + full config + defense identity/params +
@@ -62,7 +69,7 @@ from .pipeline import (
 #: cached artifact (the simulator-source hash usually also changes, but
 #: the version makes intent explicit and survives hash collisions of
 #: whitespace-only edits).
-CODEGEN_VERSION = 3
+CODEGEN_VERSION = 4
 
 #: Stable opcode -> kind-integer mapping used by the generated decode
 #: tables (enum definition order; append-only by ISA convention).
@@ -207,8 +214,9 @@ def _load_artifact(path, filename: str):
 
 
 def compile_step(program, config: CoreConfig, defense, metrics=None):
-    """Return the compiled ``run(core)`` function for the triple,
-    consulting the in-memory and on-disk artifact caches."""
+    """Return the compiled ``run(core, lockstep=False)`` generator
+    function for the triple, consulting the in-memory and on-disk
+    artifact caches."""
     from ..bench.executor import cache_enabled
     from ..metrics.registry import get_registry
 
@@ -419,6 +427,7 @@ def generate_source(program, config: CoreConfig, defense) -> str:
     s('"""')
     s("from collections import deque")
     s("from heapq import heappush, heappop")
+    s("from operator import attrgetter")
     s("")
     s("from repro.uarch.uop import Uop")
     if has_branches:
@@ -444,9 +453,11 @@ def generate_source(program, config: CoreConfig, defense) -> str:
     s(f"SQK = {_fmt_tuple(sqk)}")
     s("")
     s(f"_B2C = {_B2C_LITERAL}")
+    s("# Sort key for program (rename) order: C-level, no Uop.__lt__ calls.")
+    s("SEQ = attrgetter('seq')")
     s("")
     s("")
-    s("def run(core):")
+    s("def run(core, lockstep=False):")
     s.indent()
 
     # ---- prologue ----------------------------------------------------
@@ -475,6 +486,7 @@ def generate_source(program, config: CoreConfig, defense) -> str:
         s("t_clear = core.mem_tags.clear_word")
     if has_stores:
         s("t_set = core.mem_tags.set_word")
+        s("store_listener = core._store_commit_listener")
     s("bp = core.bp")
     s("bp_predict = bp.predict_next")
     s("bp_snapshot = bp.snapshot")
@@ -1206,6 +1218,8 @@ def generate_source(program, config: CoreConfig, defense) -> str:
     s.indent()
     s("if limit is not None and cycle - last_commit >= limit:")
     s("    break")
+    s("if lockstep:")
+    s("    yield cycle")
     s("")
     s("# ---- commit ----")
     s("committed_n = 0")
@@ -1248,6 +1262,8 @@ def generate_source(program, config: CoreConfig, defense) -> str:
         s("mem_write(ma, head.store_data)")
         s("c_access(ma)")
         s("t_set(ma, True if head.lsq_prot else False)")
+        s("if store_listener is not None:")
+        s("    store_listener(core, ma)")
         s.dedent()
     if has_loads:
         s("if ISLD[hpc] and not PROT[hpc]:")
@@ -1372,7 +1388,7 @@ def generate_source(program, config: CoreConfig, defense) -> str:
         if buggy:
             s(f"eps = (e, {ep_notify})")
         s("pending = pend_res")
-        s("pending.sort()")
+        s("pending.sort(key=SEQ)")
         s("pend_res = []")
         s("for u in pending:")
         s.indent()
@@ -1471,7 +1487,7 @@ def generate_source(program, config: CoreConfig, defense) -> str:
         s(f"wseq = {_NEVER_LIT}")
         if has_divs:
             s(f"wcycle = {_NEVER_LIT}")
-        s("blocked.sort()")
+        s("blocked.sort(key=SEQ)")
         s("still_b = []")
         s("for u in blocked:")
         s.indent()
@@ -1873,11 +1889,15 @@ def generate_source(program, config: CoreConfig, defense) -> str:
 class CompiledCore(Core):
     """A :class:`Core` whose run loop is the generated specialization.
 
+    :meth:`run` drives it alone; :class:`~repro.uarch.multicore.MultiCore`
+    drives several in lockstep through ``_compiled_run(core, True)``.
     Shares ``__init__`` state construction and ``_result()`` with the
     interpreter, so the :class:`CoreResult` contract is identical by
     construction everywhere outside the cycle loop — and the three-way
     differential harness proves the loop itself.
     """
+
+    compiled = True
 
     def __init__(
         self,
@@ -1898,10 +1918,6 @@ class CompiledCore(Core):
         if kwargs.pop("ledger", None) is not None:
             raise CompileUnsupported(
                 "InterventionLedger requires the per-cycle interpreter")
-        if kwargs.get("store_commit_listener") is not None \
-                or kwargs.get("shared_memory") or kwargs.get("shared_l3"):
-            raise CompileUnsupported(
-                "multi-core sharing requires the interpreter")
         kwargs.pop("fast_path", None)
         super().__init__(program, defense, config, memory, regs,
                          max_cycles, tracer=None, metrics=metrics,
@@ -1914,26 +1930,8 @@ class CompiledCore(Core):
     def run(self) -> CoreResult:
         metrics = self.metrics
         host_start = time.perf_counter() if metrics is not None else 0.0
-        self._compiled_run(self)
+        for _ in self._compiled_run(self):
+            pass  # without lockstep the kernel never yields
         if metrics is not None:
-            elapsed = time.perf_counter() - host_start
-            metrics.counter("uarch.sim_cycles").inc(self.cycle)
-            metrics.counter("uarch.runs").inc()
-            metrics.counter("uarch.compiled_runs").inc()
-            metrics.timer("uarch.run_seconds").observe(elapsed)
-            if self._ff_jumps:
-                metrics.counter("uarch.fast_forward_cycles").inc(
-                    self._ff_cycles)
-                metrics.counter("uarch.fast_forward_jumps").inc(
-                    self._ff_jumps)
-            if elapsed > 0:
-                rate = self.cycle / elapsed
-                metrics.gauge("uarch.sim_cycles_per_sec").set(rate)
-                metrics.gauge("uarch.compiled_cycles_per_sec").set(rate)
-            self._record_speculation_metrics(metrics)
+            self._publish_run(metrics, time.perf_counter() - host_start)
         return self._result()
-
-
-def compiled_enabled() -> bool:
-    """Whether engine auto-selection may pick the compiled backend."""
-    return not os.environ.get("REPRO_NO_COMPILE")

@@ -154,6 +154,10 @@ class CoreResult:
 class Core:
     """One out-of-order core running one linked program to completion."""
 
+    #: Whether the cycle loop is a generated kernel
+    #: (:class:`repro.uarch.compiled.CompiledCore`).
+    compiled = False
+
     def __init__(
         self,
         program: Program,
@@ -399,40 +403,53 @@ class Core:
     def run(self) -> CoreResult:
         metrics = self.metrics
         host_start = time.perf_counter() if metrics is not None else 0.0
-        limit = self.no_progress_limit
         fast = self._fast
         while not self.halted and self.cycle < self.max_cycles:
-            if limit is not None \
-                    and self.cycle - self._last_commit_cycle >= limit:
+            if self._no_progress():
                 break
             self.step()
             if fast and not self.halted:
                 self._fast_forward()
+        self._settle_halt_reason()
+        if metrics is not None:
+            self._publish_run(metrics, time.perf_counter() - host_start)
+        return self._result()
+
+    def _no_progress(self) -> bool:
+        """Whether the no-progress limit stops the run before this
+        cycle (checked at the top of every engine's cycle loop)."""
+        limit = self.no_progress_limit
+        return (limit is not None
+                and self.cycle - self._last_commit_cycle >= limit)
+
+    def _settle_halt_reason(self) -> None:
+        """Name why an unhalted run stopped: the no-progress limit, or
+        else ``max_cycles``."""
         if not self.halted:
-            if (limit is not None and self.cycle < self.max_cycles
-                    and self.cycle - self._last_commit_cycle >= limit):
+            if self.cycle < self.max_cycles and self._no_progress():
                 self.halt_reason = "no_progress"
             else:
                 self.halt_reason = "timeout"
-        if metrics is not None:
-            elapsed = time.perf_counter() - host_start
-            metrics.counter("uarch.sim_cycles").inc(self.cycle)
-            metrics.counter("uarch.runs").inc()
-            metrics.timer("uarch.run_seconds").observe(elapsed)
-            if self._ff_jumps:
-                metrics.counter("uarch.fast_forward_cycles").inc(
-                    self._ff_cycles)
-                metrics.counter("uarch.fast_forward_jumps").inc(
-                    self._ff_jumps)
-            if elapsed > 0:
-                metrics.gauge("uarch.sim_cycles_per_sec").set(
-                    self.cycle / elapsed)
-            self._record_speculation_metrics(metrics)
-        return self._result()
 
-    def _record_speculation_metrics(self, metrics) -> None:
-        """Publish the observatory aggregates to an attached registry
-        (once per run; shared by every engine's ``run``)."""
+    def _publish_run(self, metrics, seconds: float) -> None:
+        """Publish one finished run to an attached registry: shared by
+        every engine's ``run`` and by the multi-core drivers, which pass
+        each core its share of the lockstep wall time.
+
+        Throughput is never a gauge: an engine's rate is the ratio of
+        its counters, ``uarch.sim_cycles / uarch.run_seconds.sum``
+        overall and ``uarch.compiled_cycles /
+        uarch.compiled_run_seconds.sum`` for the compiled backend."""
+        metrics.counter("uarch.sim_cycles").inc(self.cycle)
+        metrics.counter("uarch.runs").inc()
+        metrics.timer("uarch.run_seconds").observe(seconds)
+        if self.compiled:
+            metrics.counter("uarch.compiled_runs").inc()
+            metrics.counter("uarch.compiled_cycles").inc(self.cycle)
+            metrics.timer("uarch.compiled_run_seconds").observe(seconds)
+        if self._ff_jumps:
+            metrics.counter("uarch.fast_forward_cycles").inc(self._ff_cycles)
+            metrics.counter("uarch.fast_forward_jumps").inc(self._ff_jumps)
         dstats = self.defense.stats
         stats = self.stats
         interventions = (dstats["exec_interventions"]
@@ -1506,10 +1523,36 @@ class Core:
                                 else "bad_pc")
 
 
-#: Engine names accepted by :func:`simulate` (and the CLI ``--engine``
-#: flags).  ``refcore`` is an alias kept for symmetry with ``repro diff``
-#: output labels.
+#: Engine names accepted by :func:`simulate`, :class:`MultiCore
+#: <repro.uarch.multicore.MultiCore>` (and the CLI ``--engine`` flags).
+#: ``refcore`` is an alias kept for symmetry with ``repro diff`` output
+#: labels.
 ENGINES = ("auto", "ref", "refcore", "fast", "compiled")
+
+
+def resolve_engine(engine: Optional[str], fast_path: Optional[bool] = None,
+                   pinned: bool = False) -> Tuple[Optional[bool], bool]:
+    """``(fast_path, want_compiled)`` for an engine name.
+
+    ``None`` defers to the ``REPRO_ENGINE`` environment variable (unless
+    an explicit ``fast_path`` already chose the interpreter) and then to
+    ``"auto"``: the compiled backend unless ``pinned`` (an attached
+    tracer or ledger), an explicit ``fast_path`` or ``REPRO_NO_COMPILE``
+    asks for the interpreter."""
+    if engine is None:
+        engine = (os.environ.get("REPRO_ENGINE") if fast_path is None
+                  else None) or "auto"
+    if engine == "auto":
+        return fast_path, (fast_path is None and not pinned
+                           and not os.environ.get("REPRO_NO_COMPILE"))
+    if engine in ("ref", "refcore"):
+        return False, False
+    if engine == "fast":
+        return True, False
+    if engine == "compiled":
+        return fast_path, True
+    raise ValueError(f"unknown engine {engine!r}; expected one of "
+                     f"{', '.join(ENGINES)}")
 
 
 def simulate(program: Program, defense=None, config: CoreConfig = P_CORE,
@@ -1523,9 +1566,10 @@ def simulate(program: Program, defense=None, config: CoreConfig = P_CORE,
              ) -> CoreResult:
     """Run ``program`` to completion on a fresh core.
 
-    ``engine`` picks the execution backend:
+    ``engine`` picks the execution backend (``None`` defers to the
+    ``REPRO_ENGINE`` environment variable, then to ``"auto"``):
 
-    * ``None`` / ``"auto"`` — the compiled backend when nothing pins the
+    * ``"auto"`` — the compiled backend when nothing pins the
       interpreter (no tracer, no ledger, no explicit ``fast_path``, and
       ``REPRO_NO_COMPILE`` unset); otherwise the interpreted core with
       its usual fast-path default.
@@ -1536,19 +1580,8 @@ def simulate(program: Program, defense=None, config: CoreConfig = P_CORE,
       (:mod:`repro.uarch.compiled`), falling back to the interpreter for
       shapes it refuses (attached tracer or ledger, empty program).
     """
-    if engine is None or engine == "auto":
-        want_compiled = (fast_path is None and tracer is None
-                         and ledger is None
-                         and not os.environ.get("REPRO_NO_COMPILE"))
-    elif engine in ("ref", "refcore"):
-        fast_path, want_compiled = False, False
-    elif engine == "fast":
-        fast_path, want_compiled = True, False
-    elif engine == "compiled":
-        want_compiled = True
-    else:
-        raise ValueError(f"unknown engine {engine!r}; expected one of "
-                         f"{', '.join(ENGINES)}")
+    fast_path, want_compiled = resolve_engine(
+        engine, fast_path, pinned=tracer is not None or ledger is not None)
     if want_compiled:
         from .compiled import CompiledCore, CompileUnsupported
 

@@ -30,6 +30,10 @@ Entry points:
 * :func:`fuzz_cell_cases` — the fuzzing hot spot: the seed-7 campaign's
   ``rand``-instrumented programs on their UNPROT-SEQ input pairs under
   the protected defenses, both speculation models, both cores.
+* :func:`multicore_cases` / :func:`run_multicore_engines` — the
+  data-parallel ``.mt`` programs on :class:`~repro.uarch.multicore.MultiCore`,
+  every thread of the compiled lockstep driver diffed against the
+  stepped reference cores.
 """
 
 from __future__ import annotations
@@ -441,3 +445,86 @@ def mitigation_cases(engines: Tuple[str, ...] = DEFAULT_ENGINES,
             regs=test_input.build_regs(),
             engines=engines, label=label)
         yield label, report
+
+
+# ---------------------------------------------------------------------
+# Multi-core: the compiled lockstep driver against stepped cores.
+# ---------------------------------------------------------------------
+
+#: Data-parallel programs of the multicore differential cases.
+MULTICORE_PROGRAMS: Tuple[str, ...] = ("blackscholes.mt", "swaptions.mt",
+                                       "canneal.mt")
+
+#: (defense, ProtCC instrumentation or None) of the multicore cases.
+MULTICORE_DEFENSES: Tuple[Tuple[str, Optional[str]], ...] = (
+    ("unsafe", None), ("stt", None), ("spt-sb", None), ("delay", "unr"),
+    ("track", "unr"))
+
+#: Thread mixes of a 4-thread run: name -> number of P-cores.
+THREAD_MIXES: Dict[str, int] = {"2P+2E": 2, "1P+3E": 1}
+
+
+def run_multicore_engines(program, defense_factory: Callable[[], object],
+                          memory=None,
+                          regs: Optional[Dict[int, int]] = None,
+                          p_cores: int = 2,
+                          engines: Tuple[str, ...] = DEFAULT_ENGINES,
+                          label: str = "multicore",
+                          ) -> Tuple[Dict[str, object], DiffReport]:
+    """Run one 4-thread :class:`~repro.uarch.multicore.MultiCore` case
+    on every engine in ``engines`` and diff each against the first:
+    every thread's :class:`CoreResult` (reported as
+    ``engine:t<tid>:field``; each carries its halt reason and the shared
+    memory image) plus the invalidation count.  Returns each engine's
+    ``MultiCore`` (run) and the report."""
+    from .multicore import MultiCore
+
+    runs: Dict[str, object] = {}
+    for engine in engines:
+        runs[engine] = MultiCore(program, defense_factory, memory,
+                                 threads=4, p_cores=p_cores, regs=regs,
+                                 engine=engine)
+        runs[engine].run()
+    report = DiffReport(label=label)
+    ref = runs[engines[0]]
+    for engine in engines[1:]:
+        got = runs[engine]
+        for tid, (mine, theirs) in enumerate(zip(got.cores, ref.cores)):
+            for diff in compare_results(mine._result(),
+                                        theirs._result()).diffs:
+                report.diffs.append(FieldDiff(
+                    f"{engine}:t{tid}:{diff.field}", diff.fast, diff.ref))
+        if got.invalidations != ref.invalidations:
+            report.diffs.append(FieldDiff(
+                f"{engine}:invalidations", got.invalidations,
+                ref.invalidations))
+    return runs, report
+
+
+def multicore_cases(engines: Tuple[str, ...] = DEFAULT_ENGINES,
+                    programs: Tuple[str, ...] = MULTICORE_PROGRAMS,
+                    defenses: Optional[Tuple[str, ...]] = None,
+                    mixes: Tuple[str, ...] = tuple(THREAD_MIXES),
+                    ) -> Iterator[Tuple[str, DiffReport]]:
+    """Differential runs of the ``.mt`` programs, 4 threads, under
+    every :data:`MULTICORE_DEFENSES` entry (``defenses`` filters by
+    defense name) and thread mix, on the workload's own memory image."""
+    from ..bench.runner import DEFENSES, compiled
+    from ..workloads import get_workload
+
+    for name in programs:
+        workload = get_workload(name)
+        for defense, instrument in MULTICORE_DEFENSES:
+            if defenses is not None and defense not in defenses:
+                continue
+            program = workload.program if instrument is None \
+                else compiled(name, instrument).program
+            for mix in mixes:
+                label = (f"multicore:{name}/{defense}"
+                         + (f"+{instrument}" if instrument else "")
+                         + f"/{mix}")
+                _, report = run_multicore_engines(
+                    program, DEFENSES[defense], workload.memory,
+                    workload.regs, p_cores=THREAD_MIXES[mix],
+                    engines=engines, label=label)
+                yield label, report

@@ -7,6 +7,7 @@ defense: repro.defenses.base.Unsafe (live hooks: none)
 """
 from collections import deque
 from heapq import heappush, heappop
+from operator import attrgetter
 
 from repro.uarch.uop import Uop
 from repro.uarch.pipeline import hist_key as _hist
@@ -31,9 +32,11 @@ ISDIV = (False, False, False, False, False, False, False, False, False, False, F
 SQK = ('', '', '', '', '', '', 'squashes_conditional', '', '', '', '', '', '', '', '', '', 'squashes_conditional', '', '', '', '', '', '', '', '', 'squashes_conditional', '', '', '', '', 'squashes_return', '', '', '', '', '', '')
 
 _B2C = {'defense_execute': 'stall_defense_transmitter', 'div_busy': 'stall_div_busy', 'disambiguation': 'stall_mem_disambiguation', 'mfence': 'stall_dependency', 'defense_resolution': 'stall_defense_resolution', 'squash_notify': 'stall_squash_notify'}
+# Sort key for program (rename) order: C-level, no Uop.__lt__ calls.
+SEQ = attrgetter('seq')
 
 
-def run(core):
+def run(core, lockstep=False):
     program = core.program
     insts = program.instructions
     d = core.defense
@@ -57,6 +60,7 @@ def run(core):
     t_word_prot = core.mem_tags.word_protected
     t_clear = core.mem_tags.clear_word
     t_set = core.mem_tags.set_word
+    store_listener = core._store_commit_listener
     bp = core.bp
     bp_predict = bp.predict_next
     bp_snapshot = bp.snapshot
@@ -429,6 +433,8 @@ def run(core):
     while not halted and cycle < maxc:
         if limit is not None and cycle - last_commit >= limit:
             break
+        if lockstep:
+            yield cycle
 
         # ---- commit ----
         committed_n = 0
@@ -459,6 +465,8 @@ def run(core):
                 mem_write(ma, head.store_data)
                 c_access(ma)
                 t_set(ma, True if head.lsq_prot else False)
+                if store_listener is not None:
+                    store_listener(core, ma)
             if ISLD[hpc] and not PROT[hpc]:
                 t_clear(head.mem_addr)
             for areg, value in head.result_values:
@@ -524,7 +532,7 @@ def run(core):
                     eps = (evt_squash, evt_squash, evt_squash + evt_store, evt_squash)
                     refused = 0
                     wseq = 4611686018427387904
-                    blocked.sort()
+                    blocked.sort(key=SEQ)
                     still_b = []
                     for u in blocked:
                         if u.squashed or u.issued:

@@ -114,7 +114,7 @@ def test_compile_step_cache_traffic(v1_program, tmp_path):
     key = compile_key(v1_program, P_CORE, ProtTrack())
     artifact = tmp_path / "cache" / "compiled" / f"{key}.py"
     assert artifact.is_file(), "miss must persist the generated source"
-    assert "def run(core):" in artifact.read_text()
+    assert "def run(core, lockstep=False):" in artifact.read_text()
 
 
 @pytest.mark.parametrize("damage", ["truncated", "unmarked", "garbage"])
@@ -196,6 +196,37 @@ def test_no_compile_env_pins_the_interpreter(monkeypatch):
     assert _compiled_runs(registry) == 0
 
 
+def test_repro_engine_env_selects_the_simulate_engine(monkeypatch):
+    """``simulate(engine=None)`` reads ``REPRO_ENGINE`` itself, so every
+    caller (fuzzing, explain, speculation) follows the one knob; an
+    explicit ``engine`` or ``fast_path`` argument still wins."""
+    def run(**kwargs):
+        program, memory = build("v1-gadget")
+        registry = MetricsRegistry()
+        with attached(registry):
+            result = simulate(program, ProtTrack(), P_CORE, memory,
+                              **kwargs)
+        counters = registry.snapshot()["counters"]
+        return (result.cycles, counters.get("uarch.compiled_runs", 0),
+                counters.get("uarch.fast_forward_jumps", 0))
+
+    monkeypatch.setenv("REPRO_ENGINE", "compiled")
+    compiled = run()
+    monkeypatch.setenv("REPRO_ENGINE", "fast")
+    fast = run()
+    monkeypatch.setenv("REPRO_ENGINE", "refcore")
+    ref = run()
+    assert compiled[1] == 1 and fast[1] == ref[1] == 0
+    assert fast[2] > 0 and ref[2] == 0  # only the fast path jumps
+    assert compiled[0] == fast[0] == ref[0]
+    assert run(engine="compiled")[1] == 1
+    monkeypatch.setenv("REPRO_ENGINE", "compiled")
+    assert run(fast_path=False)[1:] == (0, 0)
+    monkeypatch.setenv("REPRO_ENGINE", "warp")
+    with pytest.raises(ValueError):
+        run()
+
+
 def test_explicit_compiled_engine_with_tracer_falls_back():
     program, memory = build("v1-gadget")
     tracer = PipelineTracer()
@@ -231,14 +262,33 @@ def test_parse_engines():
         parse_engines("compiled")  # a single non-reference engine
 
 
-def test_compiled_cycles_per_sec_gauge():
-    program, memory = build("v1-gadget")
+def test_compiled_cycles_per_sec_counter_ratio():
+    """Throughput is a ratio of counters over every run, never a gauge
+    the last run overwrites: two compiled runs and one interpreted run
+    all land in ``uarch.sim_cycles`` / ``uarch.run_seconds``, and only
+    the compiled ones in ``uarch.compiled_cycles`` /
+    ``uarch.compiled_run_seconds``."""
+    def cycles(name, engine):
+        program, memory = build(name)
+        return simulate(program, Unsafe(), P_CORE, memory,
+                        engine=engine).cycles
+
     registry = MetricsRegistry()
     with attached(registry):
-        simulate(program, Unsafe(), P_CORE, memory, engine="compiled")
-    gauges = registry.snapshot()["gauges"]
-    assert gauges.get("uarch.compiled_cycles_per_sec", 0) > 0
-    assert gauges.get("uarch.sim_cycles_per_sec", 0) > 0
+        compiled = [cycles(name, "compiled")
+                    for name in ("v1-gadget", "div-channel")]
+        interp = cycles("v1-gadget", "fast")
+    snapshot = registry.snapshot()
+    counters, timers = snapshot["counters"], snapshot["timers"]
+    assert not [name for name in snapshot["gauges"] if "per_sec" in name]
+    assert counters["uarch.compiled_cycles"] == sum(compiled)
+    assert counters["uarch.sim_cycles"] == sum(compiled) + interp
+    assert timers["uarch.compiled_run_seconds"]["count"] == 2
+    assert timers["uarch.run_seconds"]["count"] == 3
+    compiled_s = timers["uarch.compiled_run_seconds"]["sum"]
+    total_s = timers["uarch.run_seconds"]["sum"]
+    assert 0 < compiled_s < total_s
+    assert counters["uarch.compiled_cycles"] / compiled_s > 0
 
 
 # ---------------------------------------------------------------------

@@ -109,7 +109,7 @@ def test_default_buckets_are_strictly_increasing():
 def _sample_registry() -> MetricsRegistry:
     registry = MetricsRegistry()
     registry.counter("executor.specs").inc(3)
-    registry.gauge("uarch.sim_cycles_per_sec").set(1500.0)
+    registry.gauge("fabric.pending").set(1500.0)
     timer = registry.timer("executor.spec_seconds", buckets=(0.1, 1.0))
     timer.observe(0.05)
     timer.observe(0.5)
@@ -119,7 +119,7 @@ def _sample_registry() -> MetricsRegistry:
 def test_json_snapshot_shape():
     snapshot = json.loads(_sample_registry().to_json())
     assert snapshot["counters"] == {"executor.specs": 3}
-    assert snapshot["gauges"] == {"uarch.sim_cycles_per_sec": 1500.0}
+    assert snapshot["gauges"] == {"fabric.pending": 1500.0}
     timer = snapshot["timers"]["executor.spec_seconds"]
     assert timer["count"] == 2
     assert timer["sum"] == pytest.approx(0.55)
@@ -133,10 +133,10 @@ def test_prometheus_export_golden():
         "specs requested across all batches\n"
         "# TYPE repro_executor_specs_total counter\n"
         "repro_executor_specs_total 3\n"
-        "# HELP repro_uarch_sim_cycles_per_sec "
-        "fast-engine simulation throughput\n"
-        "# TYPE repro_uarch_sim_cycles_per_sec gauge\n"
-        "repro_uarch_sim_cycles_per_sec 1500\n"
+        "# HELP repro_fabric_pending "
+        "jobs waiting for a worker\n"
+        "# TYPE repro_fabric_pending gauge\n"
+        "repro_fabric_pending 1500\n"
         "# HELP repro_executor_spec_seconds "
         "worker-side simulation time per spec\n"
         "# TYPE repro_executor_spec_seconds histogram\n"
@@ -199,7 +199,7 @@ def test_every_published_metric_has_help(isolated_cache):
 def test_flatten_snapshot_scalars():
     flat = flatten_snapshot(_sample_registry().snapshot())
     assert flat["executor.specs"] == 3.0
-    assert flat["uarch.sim_cycles_per_sec"] == 1500.0
+    assert flat["fabric.pending"] == 1500.0
     assert flat["executor.spec_seconds.count"] == 2.0
     assert flat["executor.spec_seconds.sum"] == pytest.approx(0.55)
     assert flat["executor.spec_seconds.max"] == 0.5

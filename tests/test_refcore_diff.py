@@ -17,7 +17,9 @@ from repro.uarch.refcore import (
     compare_results,
     diff_cases,
     fixture_cases,
+    multicore_cases,
     run_case,
+    run_multicore_engines,
     run_pair,
 )
 
@@ -128,3 +130,38 @@ def test_workload_identical(defense):
                             regs=workload.regs,
                             label=f"mcf.s/{defense}")
     report.raise_if_different()
+
+
+# ----------------------------------------------------------------------
+# Multi-core: the compiled lockstep driver against stepped cores
+# ----------------------------------------------------------------------
+
+@pytest.mark.parametrize("name,defense,mix", [
+    # ~950 false-sharing invalidations: resuming the kernels in any
+    # order but thread-id order moves some of them across a sibling's
+    # access in the same cycle.
+    ("swaptions.mt", "unsafe", "2P+2E"),
+    # Parked ProtTrack refusals on a 1P+3E mix, across invalidations.
+    ("blackscholes.mt", "track", "1P+3E"),
+])
+def test_multicore_engines_identical(name, defense, mix):
+    cases = list(multicore_cases(programs=(name,), defenses=(defense,),
+                                 mixes=(mix,)))
+    assert len(cases) == 1
+    label, report = cases[0]
+    assert label.startswith(f"multicore:{name}/{defense}")
+    report.raise_if_different()
+
+
+def test_multicore_diff_is_not_vacuous():
+    """The two sides really ran different drivers, across the
+    false-sharing invalidations the order test above relies on."""
+    from repro.workloads import get_workload
+
+    w = get_workload("swaptions.mt")
+    runs, report = run_multicore_engines(
+        w.program, DEFENSES["unsafe"], w.memory, w.regs,
+        engines=("refcore", "compiled"))
+    assert report.identical
+    assert runs["compiled"].compiled and not runs["refcore"].compiled
+    assert runs["refcore"].invalidations > 900
